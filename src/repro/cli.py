@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gc", action="store_true",
         help="prune stale/foreign entries from the on-disk plans/v1 "
-        "and codegen/v1 caches (no model file needed)",
+        "and codegen/v2 caches (no model file needed)",
     )
     p.add_argument(
         "--plan-cache", nargs="?", const=True, default=None, metavar="DIR",
@@ -311,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--serve-backend", default="auto", metavar="NAME",
-        help="sweep backend: auto, adaptive, compiled, compiled-py, "
-        "compiled-batched, compiled-py-batched (default auto = "
-        "adaptive: re-armed scalar loop for small batches, numpy "
-        "plane above the crossover)",
+        help="sweep backend: auto, compiled, compiled-py (default auto "
+        "= compiled-py: every sweep re-arms the lane's one generated-"
+        "kernel elaboration per vector)",
     )
     p.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
@@ -1845,7 +1844,7 @@ def _bench_serve(args) -> int:
     sequential ``compiled`` elaborate + run).  The *serve* side is the
     real configuration: the model is submitted once, and ``--vectors``
     single-vector simulate requests over ``--clients`` keep-alive
-    connections coalesce into plane sweeps over re-armed cached
+    connections coalesce into sweeps over re-armed cached
     elaborations.  Every response's registers and clean flag are
     verified bit-identical to an in-process sequential ``compiled``
     run before the record is written (``BENCH_serve.json``).
@@ -2186,7 +2185,7 @@ def _bench_codegen(args) -> int:
     bit-identical (registers, conflicts, all stats counters) before the
     ratio is recorded.  A fresh temporary artifact cache measures the
     cold generate cost and the warm ``codegen_build_ms`` a
-    ``codegen/v1`` hit replaces it with.  The record lands in
+    ``codegen/v2`` hit replaces it with.  The record lands in
     ``BENCH_codegen.json`` -- the artifact CI gates with
     ``tools/check_bench_regression.py``; the top-level ``speedup`` is
     the weaker of the two cases.
@@ -2225,7 +2224,7 @@ def _bench_codegen(args) -> int:
 
     case_records = []
     for model, model_name in cases:
-        # Cold generate vs warm codegen/v1 artifact hit, against a
+        # Cold generate vs warm codegen/v2 artifact hit, against a
         # fresh cache -- measured first, before the timed runs fill the
         # in-process memo, so `cold` prices a real generate + compile
         # and `warm` an honest artifact load (the disk-first read

@@ -15,7 +15,8 @@ tick per phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
 
 from ..kernel import Signal, Simulator, wait_on
 from .phases import PHASES_PER_STEP, Phase, StepPhase
@@ -39,53 +40,108 @@ class TraceLog:
     Holds the recorded waveform plus every query and rendering helper;
     how samples get in is the subclass's business.  The event-kernel
     :class:`Tracer` fills it from a phase-sensitive process; the
-    compiled backend appends one sample per executed cycle directly.
+    compiled backends append one row per executed cycle through a
+    :meth:`recorder`.  Samples are stored as two parallel lists:
+    ``times[i]`` is the i-th sample's (step, phase) point and
+    ``rows[i]`` the tuple of its values in ``watched_names`` order;
+    :attr:`samples` presents them as :class:`TraceSample` records.
     """
 
     def __init__(self, watched_names: Sequence[str]) -> None:
         self.watched_names = list(watched_names)
-        self.samples: list[TraceSample] = []
+        self.times: list[StepPhase] = []
+        self.rows: list[tuple[int, ...]] = []
 
     def append(self, at: StepPhase, values: Mapping[str, int]) -> None:
         """Record one sample (values must cover every watched name)."""
-        self.samples.append(TraceSample(at, dict(values)))
+        self.times.append(at)
+        self.rows.append(tuple([values[name] for name in self.watched_names]))
+
+    def recorder(
+        self,
+        values: Sequence[int],
+        indices: Sequence[int],
+        schedule: Sequence[StepPhase],
+    ) -> Callable[[int], None]:
+        """A per-cycle sampling hook over a live value table.
+
+        ``record(pos)`` stores ``schedule[pos]`` and the entries of
+        ``values`` at ``indices`` (aligned with ``watched_names``) in
+        one C-level gather -- no per-cycle dict.  ``values`` is read
+        at call time, so it must be mutated in place, never rebound.
+        """
+        if len(indices) > 1:
+            gather = itemgetter(*indices)
+        else:  # itemgetter returns a bare value for one index, none for 0
+
+            def gather(seq: Sequence[int]) -> tuple:
+                return tuple([seq[i] for i in indices])
+        add_time = self.times.append
+        add_row = self.rows.append
+
+        def record(pos: int) -> None:
+            add_time(schedule[pos])
+            add_row(gather(values))
+
+        return record
 
     def reset(self) -> None:
         """Drop every recorded sample, keeping the watch list.
 
-        Clears in place so holders of this object (generated-kernel
-        observation hooks bind the tracer at elaboration time) see the
-        reset -- the re-arm path of the compiled backends relies on it.
+        Clears in place so holders of this object (recorder hooks bind
+        its storage at elaboration time) see the reset -- the re-arm
+        path of the compiled backends relies on it.
         """
-        self.samples.clear()
+        self.times.clear()
+        self.rows.clear()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def samples(self) -> list[TraceSample]:
+        """The recorded samples as :class:`TraceSample` records."""
+        names = self.watched_names
+        return [
+            TraceSample(at, dict(zip(names, row)))
+            for at, row in zip(self.times, self.rows)
+        ]
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _column(self, signal: str) -> int:
+        try:
+            return self.watched_names.index(signal)
+        except ValueError:
+            raise KeyError(signal) from None
+
     def at(self, step: int, phase: Phase) -> Optional[TraceSample]:
         """The sample taken at (step, phase), or None if never reached."""
-        for sample in self.samples:
-            if sample.at.step == step and sample.at.phase is phase:
-                return sample
+        for at, row in zip(self.times, self.rows):
+            if at.step == step and at.phase is phase:
+                return TraceSample(at, dict(zip(self.watched_names, row)))
         return None
 
     def history(self, signal: str) -> list[tuple[StepPhase, int]]:
         """The (time, value) sequence of one signal, change-compressed."""
+        col = self._column(signal)
         out: list[tuple[StepPhase, int]] = []
         last: Optional[int] = None
-        for sample in self.samples:
-            value = sample.values[signal]
+        for at, row in zip(self.times, self.rows):
+            value = row[col]
             if value != last:
-                out.append((sample.at, value))
+                out.append((at, value))
                 last = value
         return out
 
     def step_values(self, signal: str, phase: Phase = Phase.CR) -> dict[int, int]:
         """Per-control-step value of ``signal`` sampled at ``phase``."""
+        col = self._column(signal)
         return {
-            sample.at.step: sample.values[signal]
-            for sample in self.samples
-            if sample.at.phase is phase
+            at.step: row[col]
+            for at, row in zip(self.times, self.rows)
+            if at.phase is phase
         }
 
     # ------------------------------------------------------------------
@@ -96,13 +152,11 @@ class TraceLog:
         names = list(signals) if signals is not None else list(
             self.watched_names
         )
+        cols = [self._column(n) for n in names]
         header = ["cs.ph"] + names
         rows = [header]
-        for sample in self.samples:
-            rows.append(
-                [str(sample.at)]
-                + [format_value(sample.values[n]) for n in names]
-            )
+        for at, row in zip(self.times, self.rows):
+            rows.append([str(at)] + [format_value(row[c]) for c in cols])
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
@@ -128,15 +182,15 @@ class TraceLog:
         for name in names:
             out.write(f"$var integer 32 {idents[name]} {name} $end\n")
         out.write("$upscope $end\n$enddefinitions $end\n")
-        last: dict[str, Optional[int]] = {name: None for name in names}
+        last: list[Optional[int]] = [None] * len(names)
         first = True
-        for sample in self.samples:
-            tick = (sample.at.step - 1) * PHASES_PER_STEP + int(sample.at.phase)
+        for at, row in zip(self.times, self.rows):
+            tick = (at.step - 1) * PHASES_PER_STEP + int(at.phase)
             changes = []
-            for name in names:
-                value = sample.values[name]
-                if value != last[name]:
-                    last[name] = value
+            for col, name in enumerate(names):
+                value = row[col]
+                if value != last[col]:
+                    last[col] = value
                     changes.append((name, value))
             if first:
                 out.write(f"#{max(tick, 0)}\n$dumpvars\n")

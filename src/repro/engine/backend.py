@@ -28,7 +28,7 @@ name -- additionally register themselves in a factory registry:
 * ``"compiled-py"``: a per-model specialized executor generated from
   the Plan IR (:mod:`repro.engine.codegen`) -- straight-line per-(step,
   phase) code with tables constant-folded into the source, cached as
-  ``codegen/v1/<digest>.py``, optionally numba-jitted via the
+  ``codegen/v2/<digest>.py``, optionally numba-jitted via the
   ``repro[jit]`` extra.
 * ``"compiled-py-batched"``: the generated numpy plane sweep over the
   same artifact (requires the ``repro[fast]`` extra).
@@ -241,7 +241,7 @@ def run_metrics(
         row["vectors"] = batch_size
     tracer = getattr(backend, "tracer", None)
     if tracer is not None:
-        row["trace_samples"] = len(tracer.samples)
+        row["trace_samples"] = len(tracer)
     if wall is not None:
         row["wall"] = wall
     if profile is not None:

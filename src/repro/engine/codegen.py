@@ -83,7 +83,7 @@ from .plan import (
 
 #: Bump when the generated-module layout changes; versions the artifact
 #: directory and the in-file header, so stale artifacts are discarded.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 #: Marshal sidecar header magic (the ``.pyc``-style fast-load twin).
 _CODE_MAGIC = "repro-codegen-code"
@@ -462,8 +462,9 @@ def _emit_bind_scalar(em: _Emitter, plan: Plan, inlines: List) -> None:
     em.line(1, "code order, ``mev`` the interpreter evaluator closures")
     em.line(1, "(fallback for non-inlinable modules), ``conflict(pos, sink)``")
     em.line(1, "and ``hook(pos)`` the runner callbacks.  Returns one thunk")
-    em.line(1, "per chunk; each returns (events, transactions, extra_deltas)")
-    em.line(1, 'for the dynamic part of the stats accounting."""')
+    em.line(1, "per chunk -- each returns (events, transactions, extra_deltas)")
+    em.line(1, "for the dynamic part of the stats accounting -- and a reset")
+    em.line(1, 'thunk returning the inlined module state to time zero."""')
     em.line(1, "V = values")
     em.line(1, "C = contrib")
     em.line(1, "A = act")
@@ -493,6 +494,19 @@ def _emit_bind_scalar(em: _Emitter, plan: Plan, inlines: List) -> None:
             em.line(1, f"_s{k} = [0, -1]")
             if mp.sticky_illegal:
                 em.line(1, f"_f{k} = [0]")
+    resets: List[str] = []
+    for k, mp in enumerate(plan.modules):
+        if inlines[k] is None:
+            continue  # the interpreter closure resets itself
+        if mp.latency > 0 and mp.pipelined:
+            resets.append(f"_p{k}[:] = [-1] * {mp.latency}")
+        elif mp.latency > 0:
+            resets.append(f"_s{k}[:] = [0, -1]")
+        if mp.sticky_illegal:
+            resets.append(f"_f{k}[0] = 0")
+    em.line(1, "def _reset():")
+    for text in resets or ["pass"]:
+        em.line(2, text)
     ranges = _chunk_ranges(plan.cs_max)
     for ci, (lo, hi) in enumerate(ranges):
         final = ci == len(ranges) - 1
@@ -513,7 +527,12 @@ def _emit_bind_scalar(em: _Emitter, plan: Plan, inlines: List) -> None:
             _emit_finish_scalar(em, 2, plan)
         else:
             em.line(2, "return ev, tx, 0")
-    em.line(1, "return (" + ", ".join(f"_k{ci}" for ci in range(len(ranges))) + ",)")
+    em.line(
+        1,
+        "return ("
+        + ", ".join(f"_k{ci}" for ci in range(len(ranges)))
+        + ",), _reset",
+    )
 
 
 def _emit_apply_batch(
@@ -1071,7 +1090,7 @@ class CodegenRTSimulation(CompiledRTSimulation):
             self._act = bytearray(p.num_ports)
             self._nd = [0] * p.num_ports
             self._vs = [0] * p.num_ports
-            chunks = handle.module["bind"](
+            chunks, self._reset_modules = handle.module["bind"](
                 self._values,
                 self._drv_contrib,
                 self._act,
@@ -1120,47 +1139,38 @@ class CodegenRTSimulation(CompiledRTSimulation):
         the monitor listener, exactly the interpreter's order): trace
         sample, then the canonical probe emission with the changed set
         recovered by diffing a kept previous-values snapshot -- valid
-        because each port is written at most once per apply.
+        because each port is written at most once per apply.  Without
+        a probe the hook *is* the tracer's row recorder.
         """
-        tracer = self.tracer
+        record = self._record
         probe = self._probe
-        if tracer is None and probe is None:
-            return None
+        if probe is None:
+            return record
         schedule = self._schedule
         values = self._values
         names = self._names
-        items = self._trace_items
         bus_count = self._bus_count
         reg_out = list(self._reg_out_idx.items())
-        prev = list(values) if probe is not None else None
+        prev = list(values)
 
         def hook(pos: int) -> None:
-            at = schedule[pos]
-            if tracer is not None:
-                if items is not None:
-                    tracer.append(
-                        at, {name: values[idx] for name, idx in items}
-                    )
-                else:
-                    tracer.append(at, dict(zip(names, values)))
-            if probe is not None:
-                changed = [
-                    idx
-                    for idx in range(len(values))
-                    if values[idx] != prev[idx]
-                ]
-                for idx in changed:
-                    prev[idx] = values[idx]
-                cs = set(changed)
-                drives = [
-                    (names[idx], values[idx])
-                    for idx in range(bus_count)
-                    if idx in cs
-                ]
-                latches = [
-                    (reg, values[idx]) for reg, idx in reg_out if idx in cs
-                ]
-                emit_canonical_cycle(probe, at, drives, latches)
+            if record is not None:
+                record(pos)
+            changed = [
+                idx for idx in range(len(values)) if values[idx] != prev[idx]
+            ]
+            for idx in changed:
+                prev[idx] = values[idx]
+            cs = set(changed)
+            drives = [
+                (names[idx], values[idx])
+                for idx in range(bus_count)
+                if idx in cs
+            ]
+            latches = [
+                (reg, values[idx]) for reg, idx in reg_out if idx in cs
+            ]
+            emit_canonical_cycle(probe, schedule[pos], drives, latches)
 
         return hook
 
@@ -1227,10 +1237,12 @@ class CodegenRTSimulation(CompiledRTSimulation):
         self, register_values: Optional[Mapping[str, int]] = None
     ) -> "CodegenRTSimulation":
         """Reset to time zero (see the base class).  The generated
-        kernel bound the value plane, driver storage and the scratch
-        buffers at elaboration time, so all are reset in place."""
+        kernel bound the value plane, driver storage, the scratch
+        buffers and its inlined module state at elaboration time, so
+        all are reset in place."""
         super().rearm(register_values)
         if self._chunks is not None:
+            self._reset_modules()
             self._act[:] = bytes(len(self._act))
             self._nd[:] = [0] * len(self._nd)
             self._vs[:] = [0] * len(self._vs)

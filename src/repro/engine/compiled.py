@@ -39,7 +39,7 @@ benchmark compares against the event kernel's per-component wakeups.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Union
 
 from ..core.diagnostics import ConflictEvent, ConflictLog
 from ..core.model import ModelError, RTModel
@@ -203,18 +203,23 @@ class CompiledRTSimulation:
         #: (tracked only while a probe is attached).
         self._cycle_changed: set[int] = set()
         self._bus_count = p.bus_count
+        self._schedule = schedule_points(model.cs_max)
         self.tracer: Optional[TraceLog] = None
-        self._trace_items: Optional[List[tuple[str, int]]] = None
+        #: per-cycle sampler, ``record(pos)`` (None when untraced); a
+        #: ``watch`` subset samples only those ports, so chip-scale
+        #: sweeps don't pay all-ports trace memory.
+        self._record: Optional[Callable[[int], None]] = None
         if trace or watch:
             watched = list(watch) if watch else list(self._names)
             for extra in watched:
                 if extra not in self._index:
                     raise ModelError(f"cannot watch unknown signal {extra!r}")
-            if watch:
-                # Subset fast path: sample only the watched ports, so
-                # chip-scale sweeps don't pay all-ports trace memory.
-                self._trace_items = [(n, self._index[n]) for n in watched]
             self.tracer = TraceLog(watched)
+            self._record = self.tracer.recorder(
+                self._values,
+                [self._index[n] for n in watched],
+                self._schedule,
+            )
 
         # -- execution state --------------------------------------------
         self.stats = SimStats()
@@ -222,7 +227,6 @@ class CompiledRTSimulation:
         # controller's initial CS/PH assignments (two transactions).
         self.stats.cycles = 1
         self.stats.transactions = 2
-        self._schedule = schedule_points(model.cs_max)
         self._pos = 0
         #: updates scheduled during the current cycle, due next cycle:
         #: (driver index, value) and (port index, value) respectively.
@@ -267,7 +271,9 @@ class CompiledRTSimulation:
         only needs the *state* reset: the value plane and driver
         contributions are rewritten **in place** -- the module-eval
         closures (and the generated kernels of the codegen subclass)
-        bind those containers at elaboration time -- the monitor and
+        bind those containers at elaboration time -- every module's
+        internal state (pipeline stages, busy/result cells, the
+        sticky-ILLEGAL freeze) returns to time zero, the monitor and
         stats restart, and an attached tracer is cleared.  This is the
         serving hot path (:mod:`repro.serve` re-arms one cached
         elaboration per lane instead of re-elaborating per request);
@@ -292,6 +298,8 @@ class CompiledRTSimulation:
                 init %= 1 << width
             values[self._reg_out_idx[reg]] = init
         self._drv_contrib[:] = [DISC] * p.num_drivers
+        for _out_idx, evaluate in self._module_evals:
+            evaluate.reset()
         self.monitor = ConflictLog()
         self._active_illegal.clear()
         self._cycle_changed.clear()
@@ -325,7 +333,7 @@ class CompiledRTSimulation:
     def _execute_until(self, end_pos: int) -> None:
         stats = self.stats
         values = self._values
-        tracer = self.tracer
+        record = self._record
         while self._pos < end_pos:
             at = self._schedule[self._pos]
             self._pos += 1
@@ -342,14 +350,8 @@ class CompiledRTSimulation:
             if self._pos < len(self._schedule) or at.phase is not Phase.CR:
                 stats.transactions += _SCHED_TX[int(at.phase)]
             self._apply_pending(at, record_conflicts=True)
-            if tracer is not None:
-                if self._trace_items is not None:
-                    tracer.append(
-                        at,
-                        {name: values[idx] for name, idx in self._trace_items},
-                    )
-                else:
-                    tracer.append(at, dict(zip(self._names, values)))
+            if record is not None:
+                record(self._pos - 1)
             if self._probe is not None:
                 self._emit_cycle(at)
             # -- this cycle's actions (due next cycle) -------------------

@@ -707,7 +707,9 @@ def compile_module_eval(
     (combinational, variable-pipeline, and busy-poisoning
     non-pipelined variants, including the sticky-ILLEGAL freeze and §3
     op selection).  ``operations`` supplies the live operation bodies
-    the plan deliberately does not carry.
+    the plan deliberately does not carry.  The closure's ``reset``
+    attribute returns that state to time zero in place (the re-arm
+    path of the scalar executors).
     """
     names = mp.op_names
     default = operations[mp.default_op]
@@ -742,6 +744,7 @@ def compile_module_eval(
                 state["frozen"] = True
             return result
 
+        comb_eval.reset = lambda: state.update(frozen=False)
         return comb_eval
 
     if mp.pipelined:
@@ -758,6 +761,11 @@ def compile_module_eval(
                 pipe[0] = stage
             return out
 
+        def pipe_reset() -> None:
+            pipe[:] = [DISC] * mp.latency
+            state["frozen"] = False
+
+        pipe_eval.reset = pipe_reset
         return pipe_eval
 
     state = {"remaining": 0, "result": DISC, "frozen": False}
@@ -785,6 +793,9 @@ def compile_module_eval(
             state["frozen"] = True
         return out
 
+    nonpipe_eval.reset = lambda: state.update(
+        remaining=0, result=DISC, frozen=False
+    )
     return nonpipe_eval
 
 

@@ -73,7 +73,7 @@ from typing import (
 
 from ..core.phases import StepPhase
 from ..core.values import DISC, ILLEGAL
-from .monitor import _initial_state, monitored_watch_list
+from .monitor import _initial_state, monitored_watch_list, replay_trace
 from .probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -631,38 +631,11 @@ def coverage_from_trace(
     The trace must cover every bus and every register output
     (:func:`~repro.observe.monitor.monitored_watch_list` -- the same
     columns the assertion replay needs); change sets are reconstructed
-    by diffing successive samples, matching the online probe exactly.
+    by diffing successive samples (:func:`~repro.observe.monitor.replay_trace`),
+    matching the online probe exactly.
     """
-    reg_out = {f"{name}_out": name for name in cov.registers}
-    bus_set = set(cov.buses)
     evaluation = _CoverageEvaluation(cov)
-    pending = list(conflicts)
-    feed_idx = 0
-    first = True
-    for sample in trace.samples:
-        values: Dict[str, int] = {}
-        for column, value in sample.values.items():
-            if column in bus_set:
-                values[column] = value
-            elif column in reg_out:
-                values[reg_out[column]] = value
-        while feed_idx < len(pending) and pending[feed_idx].at <= sample.at:
-            evaluation.conflict(pending[feed_idx])
-            feed_idx += 1
-        if first:
-            evaluation.start(values)
-            evaluation.cycle(sample.at, {})
-            first = False
-        else:
-            changed = {
-                name: value
-                for name, value in values.items()
-                if evaluation.state.get(name) != value
-            }
-            evaluation.cycle(sample.at, changed)
-    while feed_idx < len(pending):
-        evaluation.conflict(pending[feed_idx])
-        feed_idx += 1
+    replay_trace(evaluation, cov.buses, cov.registers, trace, conflicts)
     return evaluation.finish()
 
 

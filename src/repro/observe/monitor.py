@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -594,52 +595,71 @@ class AssertionMonitor(Probe):
 
 
 # ----------------------------------------------------------------------
-# trace replay (batched lanes) and the uniform entry point
+# trace replay (recorded lanes) and the uniform entry point
 # ----------------------------------------------------------------------
+def replay_trace(
+    evaluation: Any,
+    buses: Iterable[str],
+    registers: Iterable[str],
+    trace: "TraceLog",
+    conflicts: Sequence["ConflictEvent"] = (),
+) -> None:
+    """Feed a recorded trace to an evaluation core, as the probe would.
+
+    ``evaluation`` is any core with ``start(state)``, ``conflict(event)``
+    and ``cycle(at, changed)`` (the assertion and coverage cores).  The
+    trace must cover every bus and every register output port
+    (``<reg>_out`` columns map back to register names); per-cycle
+    change sets are reconstructed by diffing successive samples, which
+    matches the online probe exactly because probes only observe
+    effective-value *changes* at the same cycle points the tracer
+    samples.  A sample equal to its predecessor changes nothing, and
+    otherwise only the differing columns are read."""
+    reg_out = {f"{name}_out": name for name in registers}
+    bus_set = set(buses)
+    # State name -> column; a later column naming the same state entry
+    # wins, as it would overwriting a per-sample dict.
+    owner: Dict[str, int] = {}
+    for col, column in enumerate(trace.watched_names):
+        if column in bus_set:
+            owner[column] = col
+        elif column in reg_out:
+            owner[reg_out[column]] = col
+    name_at: List[Optional[str]] = [None] * len(trace.watched_names)
+    for name, col in owner.items():
+        name_at[col] = name
+    columns = range(len(name_at))
+    pending = list(conflicts)
+    feed_idx = 0
+    prev: Optional[tuple] = None
+    for at, row in zip(trace.times, trace.rows):
+        while feed_idx < len(pending) and pending[feed_idx].at <= at:
+            evaluation.conflict(pending[feed_idx])
+            feed_idx += 1
+        changed: Dict[str, int] = {}
+        if prev is None:
+            evaluation.start({name: row[col] for name, col in owner.items()})
+        elif row != prev:
+            for col in compress(columns, map(operator.ne, row, prev)):
+                name = name_at[col]
+                if name is not None:
+                    changed[name] = row[col]
+        evaluation.cycle(at, changed)
+        prev = row
+    for event in pending[feed_idx:]:
+        evaluation.conflict(event)
+
+
 def evaluate_trace(
     model: "RTModel",
     trace: "TraceLog",
     properties: Sequence[Property],
     conflicts: Sequence["ConflictEvent"] = (),
 ) -> AssertionReport:
-    """Replay a recorded trace through the same evaluation core.
-
-    The trace must cover every bus and every register output port
-    (``<reg>_out`` columns map back to register names); per-cycle
-    change sets are reconstructed by diffing successive samples, which
-    matches the online probe exactly because probes only observe
-    effective-value *changes* at the same cycle points the tracer
-    samples."""
-    reg_out = {f"{name}_out": name for name in model.registers}
-    buses = set(model.buses)
+    """Replay a recorded trace through the same evaluation core as the
+    online :class:`AssertionMonitor` (see :func:`replay_trace`)."""
     evaluation = _Evaluation(properties)
-    pending = list(conflicts)
-    feed_idx = 0
-    first = True
-    for sample in trace.samples:
-        values: Dict[str, int] = {}
-        for column, value in sample.values.items():
-            if column in buses:
-                values[column] = value
-            elif column in reg_out:
-                values[reg_out[column]] = value
-        while feed_idx < len(pending) and pending[feed_idx].at <= sample.at:
-            evaluation.conflict(pending[feed_idx])
-            feed_idx += 1
-        if first:
-            evaluation.start(values)
-            evaluation.cycle(sample.at, {})
-            first = False
-        else:
-            changed = {
-                name: value
-                for name, value in values.items()
-                if evaluation.state.get(name) != value
-            }
-            evaluation.cycle(sample.at, changed)
-    while feed_idx < len(pending):
-        evaluation.conflict(pending[feed_idx])
-        feed_idx += 1
+    replay_trace(evaluation, model.buses, model.registers, trace, conflicts)
     return evaluation.finish()
 
 

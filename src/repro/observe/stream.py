@@ -300,6 +300,13 @@ class StreamServer(Probe):
         from .metrics import record_stream_close
 
         record_stream_close(self)
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux (the accept join would then wait out its timeout);
+        # shutdown() does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
         with self._lock:
             slots = list(self._slots)

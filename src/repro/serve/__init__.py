@@ -3,9 +3,9 @@
 The paper's clockless RT models elaborate to input-independent static
 schedules, which makes them unusually good service payloads: a design
 is submitted once (digest-keyed, plan-cache backed), and concurrent
-single-vector requests against it coalesce into one
-``compiled-batched`` plane sweep with per-lane results de-multiplexed
-back to each caller -- bit-identical to sequential ``compiled`` runs.
+single-vector requests against it coalesce into one sweep over the
+lane's re-armed generated kernel, with per-lane results de-multiplexed
+back to each caller -- bit-identical to fresh ``compiled`` runs.
 
 * :class:`ServeServer` / :func:`serve_in_thread` -- the asyncio HTTP +
   WebSocket server (``repro serve``).

@@ -1,13 +1,13 @@
 """The per-design batching scheduler.
 
 Concurrent single-vector simulate/verify requests against the same
-design (and the same property set) coalesce into one
-``compiled-batched`` plane sweep: the first request wakes the design's
-worker, which drains everything else that queued behind it (up to
-``max_batch``) into a single ``register_values`` batch, runs the sweep
-on an executor thread, and de-multiplexes per-lane registers,
-conflicts, monitor violations and clean flags back to each caller's
-future.  Batching is *natural*: while one sweep is in flight on the
+design (and the same property set) coalesce into one sweep: the first
+request wakes the design's worker, which drains everything else that
+queued behind it (up to ``max_batch``), runs the batch through the
+lane's one re-armed elaboration on an executor thread, and
+de-multiplexes per-lane registers, conflicts, monitor violations and
+clean flags back to each caller's future.  Batching is *natural*:
+while one sweep is in flight on the
 executor, new arrivals pile up in the queue and form the next batch --
 no timer is needed at load, though ``batch_window_ms`` can force a
 gathering pause (tests use it to pin deterministic batch shapes).
@@ -22,11 +22,11 @@ their own clock (the lane result of a timed-out or disconnected caller
 is simply discarded -- the sweep itself is never torn down, matching
 the cancellation semantics documented in ``docs/serving.md``).
 
-Per-lane verdicts are bit-identical to scalar ``compiled`` runs: the
-sweep reuses the exact differential-tested machinery of
-:mod:`repro.engine.batched` and, for verify requests, the per-lane
-trace replay of :func:`repro.observe.monitor.evaluate_trace` --
-the same path ``repro.observe.monitor.check_model`` takes.
+Per-lane verdicts are bit-identical to fresh scalar ``compiled`` runs:
+each lane is a :meth:`~repro.engine.compiled.CompiledRTSimulation.rearm`
+plus run of the differential-tested scalar executors and, for verify
+requests, the trace replay of
+:func:`repro.observe.monitor.evaluate_trace`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ import asyncio
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.values_np import have_numpy
-from ..engine.plan import Plan
 from ..observe import recorder
 from ..observe.metrics import (
     record_serve_batch,
@@ -56,40 +54,20 @@ from ..observe.monitor import (
 from .cache import CachedDesign
 from .protocol import ServeError, SimRequest
 
-#: Backends the service can sweep with, and the auto preference order.
-SERVE_BACKENDS = (
-    "auto",
-    "adaptive",
-    "compiled",
-    "compiled-py",
-    "compiled-batched",
-    "compiled-py-batched",
-)
-
-#: ``adaptive`` batch size at which the numpy plane sweep takes over
-#: from the re-armed generated-kernel loop.  Below it, per-lane cost of
-#: the scalar loop (~15us on Fig. 1) beats the batched backends' fixed
-#: per-sweep numpy overhead; above it the batched plane amortizes.
-ADAPTIVE_CROSSOVER = 32
+#: Backends the service can sweep with (``auto`` = ``compiled-py``).
+SERVE_BACKENDS = ("auto", "compiled", "compiled-py")
 
 #: Wakes a lane worker during shutdown.
 _STOP = object()
 
 
 def resolve_serve_backend(name: str) -> str:
-    """Map ``auto`` to the best locally available sweep policy."""
+    """Map ``auto`` to the generated kernel; reject unknown names."""
     if name not in SERVE_BACKENDS:
         raise ValueError(
             f"unknown serve backend {name!r} (use one of {SERVE_BACKENDS})"
         )
-    if name == "auto":
-        return "adaptive"
-    if name.endswith("-batched") and not have_numpy():
-        raise ValueError(
-            f"the {name} backend needs numpy (install repro[fast]) -- "
-            "use --serve-backend compiled for the scalar fallback"
-        )
-    return name
+    return "compiled-py" if name == "auto" else name
 
 
 # ----------------------------------------------------------------------
@@ -109,60 +87,34 @@ def run_sweep(
     were requested -- the lane's ``report``
     (:class:`~repro.observe.monitor.AssertionReport` ``to_dict``).
 
-    ``backend`` selects the sweep realization: an explicit batched
-    backend runs one numpy plane sweep over all vectors; a scalar
-    backend runs the lanes through **one re-armed elaboration**
-    (:meth:`~repro.engine.compiled.CompiledRTSimulation.rearm`) -- the
-    serving hot path, ~15us per lane on Fig. 1; ``adaptive`` picks the
-    re-armed generated-kernel loop below :data:`ADAPTIVE_CROSSOVER`
-    lanes and the numpy plane above it.  All realizations are
-    bit-identical per lane (differential-tested in ``tests/serve``).
+    The lanes run through **one re-armed elaboration** of the scalar
+    ``backend``: the compiled tables are input-independent, so each
+    lane is a :meth:`~repro.engine.compiled.CompiledRTSimulation.rearm`
+    (a state reset, O(ports + modules)) plus a kernel run instead of a
+    fresh elaboration.  Results are bit-identical to fresh runs
+    (differential-tested in ``tests/serve``).  The elaboration reads
+    the design's disk cache tiers, so a restarted server loads the
+    generated kernel instead of rebuilding it.
 
     ``state``, when given, persists the armed elaboration across
     sweeps of the same lane (the caller must guarantee the lane's
     sweeps never overlap -- the per-lane worker serializes them).
     """
     model = entry.model
-    plan: Plan = entry.plan
-    watch = monitored_watch_list(model) if properties is not None else None
-    if backend == "adaptive":
-        if len(vectors) <= ADAPTIVE_CROSSOVER or not have_numpy():
-            backend = "compiled-py"
-        else:
-            backend = "compiled-py-batched"
-    lanes: List[dict] = []
-    if backend.endswith("-batched"):
-        sim = model.elaborate(
-            backend=backend,
-            register_values=list(vectors),
-            plan=plan,
-            watch=watch,
-        )
-        sim.run()
-        for i in range(sim.batch_size):
-            conflicts = sim.conflicts[i]
-            lane = {
-                "registers": sim.vector_registers(i),
-                "conflicts": [recorder.conflict_event(e) for e in conflicts],
-                "clean": bool(sim.clean_mask[i]),
-            }
-            if properties is not None:
-                report = evaluate_trace(
-                    model, sim.tracers[i], properties, conflicts
-                )
-                lane["report"] = report.to_dict()
-                lane["clean"] = lane["clean"] and report.ok
-            lanes.append(lane)
-        return lanes
-    # Scalar lanes share one armed elaboration: the compiled tables are
-    # input-independent, so each lane is a value-plane reset + kernel
-    # run instead of a fresh elaboration.
     key = (backend, properties is not None)
     sim = state.get(key) if state is not None else None
     if sim is None:
-        sim = model.elaborate(backend=backend, plan=plan, watch=watch)
+        sim = model.elaborate(
+            backend=backend,
+            plan=entry.plan,
+            plan_cache=entry.plan_cache,
+            watch=(
+                monitored_watch_list(model) if properties is not None else None
+            ),
+        )
         if state is not None:
             state[key] = sim
+    lanes: List[dict] = []
     for vector in vectors:
         sim.rearm(vector)
         sim.run()
@@ -444,14 +396,6 @@ class BatchingEngine:
             if stopped:
                 return
 
-    def _realized_backend(self, batch: int) -> str:
-        """The concrete sweep realization ``run_sweep`` will pick."""
-        if self.backend != "adaptive":
-            return self.backend
-        if batch <= ADAPTIVE_CROSSOVER or not have_numpy():
-            return "compiled-py"
-        return "compiled-py-batched"
-
     async def _dispatch(
         self, lane: _Lane, live: List[PendingRequest], gather_t0: float
     ) -> None:
@@ -503,7 +447,7 @@ class BatchingEngine:
                     "batch": seq,
                     "lanes": len(live),
                     "digest": lane.entry.digest[:12],
-                    "backend": self._realized_backend(len(live)),
+                    "backend": self.backend,
                     "traces": [
                         req.trace for req in live if req.trace is not None
                     ],

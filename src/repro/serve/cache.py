@@ -2,7 +2,7 @@
 
 One :class:`CachedDesign` per submitted model, keyed by the
 content-addressed ``model_digest`` from :mod:`repro.engine.plan` --
-the same digest that keys the on-disk ``plans/v1`` and ``codegen/v1``
+the same digest that keys the on-disk ``plans/v1`` and ``codegen/v2``
 tiers, so a *cold* submit is exactly one ``elaborate -> lower ->
 generate`` trip (or a plain disk hit when another process already
 paid it) and every later request for that design is a dictionary
@@ -39,6 +39,9 @@ class CachedDesign:
     #: how the Plan was resolved at submit time (hit/miss/off)
     plan_source: str
     plan_build_ms: float
+    #: the server's disk cache root (``plans``/``codegen`` tiers) that
+    #: sweeps elaborate against, or None for in-process only
+    plan_cache: PlanCacheArg = None
     #: how many simulate/verify requests this design has served
     requests: int = 0
 
@@ -106,6 +109,7 @@ class ModelCache:
                 plan=handle.plan,
                 plan_source=handle.source,
                 plan_build_ms=handle.build_ms,
+                plan_cache=self._plan_cache,
             ), False
         with self._lock:
             hit = self._designs.get(digest)
@@ -118,6 +122,7 @@ class ModelCache:
                 plan=handle.plan,
                 plan_source=handle.source,
                 plan_build_ms=handle.build_ms,
+                plan_cache=self._plan_cache,
             )
             self._designs[digest] = entry
             self.submits += 1

@@ -6,7 +6,7 @@ One :class:`ServeServer` owns the three moving parts:
   (warm-started from the on-disk ``plans/v1`` tier when a PlanCache is
   attached),
 * a :class:`~repro.serve.batcher.BatchingEngine` coalescing concurrent
-  requests per design into single plane sweeps on a thread-pool
+  requests per design into single re-armed sweeps on a thread-pool
   executor,
 * a hand-rolled HTTP/1.1 transport (stdlib ``asyncio.start_server``;
   keep-alive, NDJSON bodies) with an RFC 6455 WebSocket upgrade at

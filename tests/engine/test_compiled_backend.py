@@ -141,6 +141,22 @@ class TestTraceParity:
             for name in ("R1_out", "B1"):
                 assert ours.values[name] == theirs.values[name]
 
+    @pytest.mark.parametrize("backend", ["compiled", "compiled-py"])
+    def test_single_column_watch_matches_event_kernel(self, backend):
+        model = fig1_model()
+        co = model.elaborate(watch=["B1"], backend=backend).run()
+        ev = model.elaborate(trace=True).run()
+        assert [(s.at, s.values) for s in co.tracer.samples] == [
+            (s.at, {"B1": s.values["B1"]}) for s in ev.tracer.samples
+        ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "compiled-py"])
+    def test_portless_model_traces_empty_samples(self, backend):
+        model = RTModel("empty", cs_max=1)
+        co = model.elaborate(trace=True, backend=backend).run()
+        ev = model.elaborate(trace=True).run()
+        assert co.tracer.samples == ev.tracer.samples
+
     def test_subset_trace_cuts_memory_on_the_iks_chip(self):
         # The E6 chip: watching two result registers instead of every
         # port shrinks the per-sample payload by the port ratio.

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core import ModelError
+from repro.core import ModelError, RTModel
 from repro.core.values import DISC
 from repro.observe import Probe
 from repro.observe.monitor import monitored_watch_list
@@ -49,6 +49,51 @@ def test_rearm_matches_fresh_elaboration(backend, build):
             register_values=vector, backend=backend
         ).run()
         assert _snapshot(sim) == _snapshot(fresh), vector
+
+
+def stateful_model():
+    """One unit of each state machine, all sticky-ILLEGAL: a pipelined
+    adder, a busy-poisoning non-pipelined multiplier and a
+    combinational subtractor."""
+    model = RTModel("stateful", cs_max=6)
+    for name, init in (("R1", 2), ("R2", 3), ("R3", 5), ("R4", 7)):
+        model.register(name, init=init)
+    for bus in ("B1", "B2", "B3", "B4"):
+        model.bus(bus)
+    model.module("ADD", latency=1)
+    model.module("MUL", ops=["MULT"], latency=2, pipelined=False)
+    model.module("SUB", ops=["SUB"], latency=0)
+    model.add_transfer("(R1,B1,R2,B2,1,ADD,2,B1,R1)")
+    model.add_transfer("(R3,B3,R4,B4,1,MUL,3,B3,R3)")
+    model.add_transfer("(R2,B2,R4,B4,4,SUB,4,B2,R2)")
+    model.add_transfer("(R1,B1,R3,B3,5,ADD,6,B1,R4)")
+    return model
+
+
+@pytest.mark.parametrize("backend", SCALAR_BACKENDS)
+def test_rearm_after_disconnected_input_matches_fresh_elaboration(backend):
+    """A disconnected ('z') input drives ILLEGAL into the units, which
+    freeze (sticky ILLEGAL) with poisoned pipeline and busy state; the
+    next re-armed run must start from time-zero module state, exactly
+    like a fresh elaboration."""
+    model = stateful_model()
+    vectors = [
+        {"R1": DISC},
+        {"R1": 4, "R2": 9, "R3": 1, "R4": 2},
+        {"R3": DISC, "R2": DISC},
+        {},
+        {"R4": DISC},
+        {"R1": 11},
+    ]
+    sim = model.elaborate(backend=backend)
+    for vector in vectors:
+        sim.rearm(vector)
+        sim.run()
+        fresh = model.elaborate(
+            register_values=vector, backend=backend
+        ).run()
+        assert _snapshot(sim) == _snapshot(fresh), vector
+        assert sim.stats.events == fresh.stats.events, vector
 
 
 @pytest.mark.parametrize("backend", SCALAR_BACKENDS)

@@ -4,6 +4,7 @@ import io
 import json
 import socket
 import threading
+import time
 
 from repro.engine import run_metrics
 from repro.observe import (
@@ -183,6 +184,21 @@ class TestStreamServer:
         server = StreamServer()
         server.close()
         server.close()
+
+    def test_close_is_prompt_with_a_connected_watcher(self):
+        """The accept thread is parked in accept() once a watcher has
+        connected; close() must wake it instead of waiting out the
+        join timeout."""
+        server = StreamServer()
+        with socket.create_connection(server.address, timeout=10.0):
+            deadline = time.monotonic() + 10.0
+            while server.client_count < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.client_count == 1
+            t0 = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
 
 
 class TestWatchClient:

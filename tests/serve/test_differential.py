@@ -9,7 +9,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.values import DISC
-from repro.core.values_np import have_numpy
 from repro.observe import recorder
 from repro.observe.monitor import (
     default_properties,
@@ -135,9 +134,7 @@ def test_verify_identity(model_name, k):
         ] == expected["violations"]
 
 
-EXPLICIT_BACKENDS = ["compiled", "compiled-py", "adaptive"] + (
-    ["compiled-batched", "compiled-py-batched"] if have_numpy() else []
-)
+EXPLICIT_BACKENDS = ["compiled", "compiled-py"]
 
 
 @pytest.mark.parametrize("backend", EXPLICIT_BACKENDS)
@@ -172,23 +169,73 @@ def test_disconnected_register_values_travel_the_wire():
     assert decode_registers(result["registers"]) == expected.registers
 
 
-def test_adaptive_crosses_over_to_the_batched_plane():
-    """Above the crossover the adaptive policy sweeps the numpy plane;
-    identity must hold there too."""
-    if not have_numpy():
-        pytest.skip("needs numpy (repro[fast])")
-    from repro.serve.batcher import ADAPTIVE_CROSSOVER, run_sweep
-    from repro.serve.cache import ModelCache
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_full_batch_sweep_matches_fresh_runs(model_name):
+    """A sweep of ``max_batch`` lanes through the one re-armed kernel
+    (disconnected inputs mixed in) is bit-identical, lane by lane, to
+    fresh ``compiled`` elaborations -- simulate and verify alike."""
     from repro.core.serialize import model_to_dict
+    from repro.serve.batcher import (
+        BatchingEngine,
+        resolve_serve_backend,
+        run_sweep,
+    )
+    from repro.serve.cache import ModelCache
 
-    model = fig1_model()
+    model = MODELS[model_name]()
     entry, _ = ModelCache().submit(model_to_dict(model))
-    k = ADAPTIVE_CROSSOVER + 8
+    k = BatchingEngine().max_batch
     vectors = _vectors(model, k, seed=77)
-    lanes = run_sweep(entry, vectors, None, "adaptive")
-    assert len(lanes) == k
-    for vector, lane in zip(vectors, lanes):
+    for i in range(0, k, 9):
+        vectors[i] = dict(vectors[i], R1=DISC)
+    backend = resolve_serve_backend("auto")
+    state: dict = {}
+    lanes = run_sweep(entry, vectors, None, backend, state)
+    checked = run_sweep(
+        entry, vectors, default_properties(model), backend, state
+    )
+    assert len(lanes) == len(checked) == k
+    for vector, lane, verified in zip(vectors, lanes, checked):
         expected = _expected_simulate(model, vector)
         assert lane["registers"] == expected["registers"]
         assert lane["clean"] == expected["clean"]
         assert lane["conflicts"] == expected["conflicts"]
+        verdict = _expected_verify(model, vector)
+        assert verified["registers"] == verdict["registers"]
+        assert verified["clean"] == verdict["clean"]
+        assert verified["report"]["ok"] == verdict["ok"]
+        assert verified["report"]["violations"] == verdict["violations"]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_lane_serves_full_vector_after_disconnected_one(verify):
+    """One lane, one re-armed elaboration: a request with a 'z' input
+    poisons the sticky pipelined adder, and the next request on the
+    same lane must still match a fresh elaboration."""
+    model = fig1_model()
+    requests = [{"R1": "z"}, {"R1": 9, "R2": 4}, {"R2": "z"}, {"R1": 5}]
+    with serve_in_thread() as handle:
+        with ServeClient(*handle.address) as client:
+            digest = client.submit(model)["digest"]
+            responses = [
+                (client.verify if verify else client.simulate)(
+                    digest, register_values=request
+                )
+                for request in requests
+            ]
+        stats = handle.server.engine.stats()
+    assert stats["lanes"] == 1
+    for request, records in zip(requests, responses):
+        vector = {
+            name: DISC if value == "z" else value
+            for name, value in request.items()
+        }
+        expected = (_expected_verify if verify else _expected_simulate)(
+            model, vector
+        )
+        conflicts, violations, result = _served(records)
+        assert decode_registers(result["registers"]) == expected["registers"]
+        assert result["clean"] == expected["clean"]
+        assert conflicts == expected["conflicts"]
+        if verify:
+            assert result["ok"] == expected["ok"]

@@ -34,7 +34,7 @@ class TestHttpRoutes:
         assert health["event"] == "health"
         assert health["status"] == "ok"
         assert health["models"] == 0
-        assert health["backend"] == "adaptive"
+        assert health["backend"] == "compiled-py"
 
     def test_submit_then_simulate_by_digest(self, server):
         model = fig1_model()
@@ -336,11 +336,48 @@ class TestStatelessCache:
 def test_serve_backend_validation():
     from repro.serve.batcher import SERVE_BACKENDS, resolve_serve_backend
 
-    assert resolve_serve_backend("auto") == "adaptive"
+    assert resolve_serve_backend("auto") == "compiled-py"
     assert resolve_serve_backend("compiled") == "compiled"
-    with pytest.raises(ValueError):
-        resolve_serve_backend("quantum")
-    assert "adaptive" in SERVE_BACKENDS
+    assert SERVE_BACKENDS == ("auto", "compiled", "compiled-py")
+    for retired in ("quantum", "adaptive", "compiled-batched",
+                    "compiled-py-batched"):
+        with pytest.raises(ValueError, match="unknown serve backend"):
+            resolve_serve_backend(retired)
+
+
+def _codegen_requests(client):
+    """``repro_codegen_requests_total`` by source, from /v1/metrics."""
+    from repro.observe.metrics import parse_prometheus
+
+    family = parse_prometheus(client.metrics()).get(
+        "repro_codegen_requests_total", {"samples": []}
+    )
+    counts = {"hit": 0.0, "miss": 0.0, "off": 0.0}
+    for sample in family["samples"]:
+        counts[sample["labels"]["source"]] += sample["value"]
+    return counts
+
+
+def test_restart_on_warm_cache_loads_the_generated_kernel(tmp_path):
+    """Sweeps elaborate against the server's cache root, so a server
+    restarted on a warm root loads the generated kernel from the disk
+    tier on its first request instead of rebuilding it."""
+    from repro.engine import codegen
+
+    model = fig1_model()
+    expected = model.elaborate(backend="compiled").run()
+    with serve_in_thread(plan_cache=str(tmp_path)) as handle:
+        with ServeClient(*handle.address) as client:
+            client.simulate(model)
+    codegen._MEMO.clear()  # a restarted process starts without it
+    with serve_in_thread(plan_cache=str(tmp_path)) as handle:
+        with ServeClient(*handle.address) as client:
+            before = _codegen_requests(client)
+            result = client.simulate(model)[-1]
+            after = _codegen_requests(client)
+    assert decode_registers(result["registers"]) == expected.registers
+    assert after["hit"] - before["hit"] == 1
+    assert after["miss"] == before["miss"]
 
 
 def test_json_errors_over_http(server):

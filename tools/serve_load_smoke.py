@@ -13,9 +13,12 @@ drives the scenario the CI ``serve`` job gates on:
 * **one deadline-expired request**: a 1ms budget against a design
   whose lane is pinned behind a gathering window must come back as the
   wire-stable ``deadline`` error, not a success or a hang;
+* **one disconnected input first**: each design serves a ``'z'``-input
+  request (which freezes its sticky-ILLEGAL units) before the load, on
+  the same lane and so the same re-armed elaboration;
 * **batched-vs-sequential identity**: every served register file and
-  clean flag is compared against an in-process sequential ``compiled``
-  run of the same vector.
+  clean flag, the ``'z'`` request's included, is compared against an
+  in-process fresh ``compiled`` run of the same vector.
 
 With ``--access-log`` / ``--trace-out`` the run also validates the
 observability plane end to end:
@@ -41,7 +44,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from repro.core import ModuleSpec, RTModel  # noqa: E402
+from repro.core import DISC, ModuleSpec, RTModel  # noqa: E402
 from repro.observe.log import parse_access_log  # noqa: E402
 from repro.serve import (  # noqa: E402
     ServeClient,
@@ -189,6 +192,22 @@ def main(argv=None) -> int:
 
         # -- concurrent load on both designs -------------------------
         for name, model in designs.items():
+            # A disconnected input poisons the lane's sticky units; the
+            # full vectors after it must still match fresh runs.
+            poison = {next(iter(model.registers)): "z"}
+            with ServeClient(host, port) as client:
+                got = client.simulate(
+                    digests[name], register_values=poison
+                )[-1]
+            sim = model.elaborate(
+                register_values={reg: DISC for reg in poison},
+                backend="compiled",
+            ).run()
+            check(
+                decode_registers(got["registers"]) == sim.registers
+                and got["clean"] == sim.clean,
+                f"{name}: the 'z'-input request differs from a fresh run",
+            )
             vectors = [
                 {
                     reg: rng.randrange(0, 1 << model.width)
