@@ -1,132 +1,27 @@
-"""The shard planner: partition a model for multi-process execution.
+"""Connectivity clusters of a lowered model.
 
-The sharded backend (:mod:`repro.engine.sharded`) runs buses and
-functional units in worker processes and synchronizes at control-step
-boundaries.  That is only bit-identical to the single-process backends
-if no *intra-step* dataflow crosses a shard: within one control step a
-value travels register output -> bus -> module input -> module output
--> bus -> register input, and every hop except the two register ends
-happens mid-step.  Register outputs are stable for the whole step (the
-CR latch lands at the next step's RA cycle) and register inputs only
-matter at the step's CR cycle, so registers are exactly the state that
-can live at the step boundary.
+Within one control step a value travels register output -> bus ->
+module input -> module output -> bus -> register input, and every hop
+except the two register ends happens mid-step.  Register outputs are
+stable for the whole step (the CR latch lands at the next step's RA
+cycle) and register inputs only matter at the step's CR cycle, so
+registers are exactly the state that lives at the step boundary.
 
-The planner therefore clusters each functional unit with every bus
+:func:`clusters_from_rows` groups each functional unit with every bus
 that feeds its input ports and every bus it writes results to
-(union-find over the transfer connectivity), and a shard is a set of
-whole clusters.  Registers are free: any shard may *read* a register
-(the coordinator ships its stable output value at the barrier) and any
-shard may *write* one (the contribution is exported and merged at the
-barrier, which is where cross-shard conflicts are detected).
-
-The default heuristic is deterministic and seed-stable: clusters are
-sorted by (weight, name) and greedily packed onto the least-loaded
-shard, so the same model always yields the same plan on every machine.
-A user-supplied ``partition`` mapping overrides the heuristic and is
-validated against the co-location constraint.
-
-Since the single-lowering refactor the planner consumes the lowered
-:class:`~repro.engine.plan.Plan` (whose ``spec_rows`` and ``clusters``
-already carry the connectivity): :func:`plan_shards_for` is the core;
-:func:`plan_shards` and :func:`connectivity_clusters` remain as
-model-level conveniences producing identical results.
+(union-find over the transfer connectivity).  :func:`repro.engine.plan.lower`
+records the result as ``Plan.clusters``: the sets of buses and units
+that exchange values inside a step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core.phases import Phase
 
 #: (step, phase_int, source, sink) -- one lowered TRANS instance.
 SpecRow = Tuple[int, int, str, str]
-
-
-class PartitionError(ValueError):
-    """Raised for invalid shard counts or constraint-violating plans."""
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A validated assignment of model resources to ``num_shards`` shards.
-
-    ``bus_shard`` / ``module_shard`` map every bus and functional unit
-    to its executing shard.  ``register_shard`` records the balance
-    assignment of each register (its contributions are merged by the
-    coordinator at the step barrier on the owning shard's behalf).
-    ``spec_shards[i]`` is the shard executing the i-th TRANS instance
-    of ``model.trans_specs()``; that global index is the stable driver
-    identity used when per-shard driver sets are merged at the barrier.
-    """
-
-    num_shards: int
-    bus_shard: Mapping[str, int]
-    module_shard: Mapping[str, int]
-    register_shard: Mapping[str, int]
-    spec_shards: Tuple[int, ...]
-    clusters: Tuple[Tuple[str, ...], ...]
-    #: per shard: registers whose output values the shard reads.
-    reads: Tuple[Tuple[str, ...], ...] = field(default=())
-    #: per register: shards exporting write contributions to it.
-    writer_shards: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    def shard_of_spec(self, index: int) -> int:
-        return self.spec_shards[index]
-
-    def describe(self) -> str:
-        """Human-readable plan summary (used by ``repro bench --sharded``)."""
-        lines = [f"shard plan: {self.num_shards} shards"]
-        for k in range(self.num_shards):
-            buses = sorted(b for b, s in self.bus_shard.items() if s == k)
-            units = sorted(m for m, s in self.module_shard.items() if s == k)
-            regs = sorted(r for r, s in self.register_shard.items() if s == k)
-            specs = sum(1 for s in self.spec_shards if s == k)
-            lines.append(
-                f"  shard {k}: {len(units)} units, {len(buses)} buses, "
-                f"{len(regs)} registers, {specs} transfers"
-            )
-        return "\n".join(lines)
-
-
-def _row_label(row: SpecRow) -> str:
-    """The TRANS instance label of a spec row (matches TransSpec.__str__)."""
-    step, phase_int, source, sink = row
-    return f"{source}_{sink}_{step}@{Phase(phase_int).vhdl_name}"
-
-
-def _executing_resource(row: SpecRow) -> Optional[str]:
-    """The bus/module resource whose shard executes this TRANS instance.
-
-    RA instances execute where their sink bus lives (the source is a
-    stable register output).  RB/CM-adjacent instances sink on module
-    ports; WA instances sink on buses but read a module output, and WB
-    instances read a bus and export to a register input.  In every case
-    the instance is pinned to a bus or module name; register endpoints
-    never pin anything.
-    """
-    step, phase_int, source, sink = row
-    if phase_int == int(Phase.RA):
-        return sink  # the bus being loaded
-    if phase_int == int(Phase.RB):
-        # bus -> module input port (or op: constant -> op port); pin to
-        # the module owning the sink port.
-        return _port_owner(sink)
-    if phase_int == int(Phase.WA):
-        return sink  # module output -> bus; bus is clustered with it
-    if phase_int == int(Phase.WB):
-        return source  # bus -> register input: runs where the bus is
-    raise PartitionError(
-        f"transfer {_row_label(row)} activates outside ra/rb/wa/wb"
-    )
 
 
 def _port_owner(port: str) -> str:
@@ -146,8 +41,8 @@ def clusters_from_rows(
 
     Nodes are buses and functional units; an edge joins a module with
     every bus feeding its input/op ports and every bus carrying its
-    output -- the co-location constraint of the sharded backend.
-    Buses and units untouched by any transfer form singleton clusters.
+    output.  Buses and units untouched by any transfer form singleton
+    clusters.
     """
     parent: Dict[str, str] = {}
 
@@ -175,187 +70,9 @@ def clusters_from_rows(
                 union(module, source)
         elif phase_int == wa_phase:
             union(_port_owner(source), sink)
-        # RA reads a register output (no constraint); WB reads a bus
-        # and writes a register input (merged at the barrier).
+        # RA reads a stable register output and WB writes a register
+        # input: neither joins a cluster.
     groups: Dict[str, Set[str]] = {}
     for name in parent:
         groups.setdefault(find(name), set()).add(name)
     return sorted(groups.values(), key=lambda g: min(g))
-
-
-def connectivity_clusters(model) -> List[Set[str]]:
-    """Model-level convenience wrapper around :func:`clusters_from_rows`."""
-    rows = [
-        (spec.step, int(spec.phase), spec.source, spec.sink)
-        for spec in model.trans_specs()
-    ]
-    return clusters_from_rows(tuple(model.buses), tuple(model.modules), rows)
-
-
-def plan_shards_for(
-    plan,
-    num_shards: int,
-    partition: Optional[Mapping[str, int]] = None,
-) -> ShardPlan:
-    """Build (or validate) the shard plan for a lowered ``plan``.
-
-    ``partition`` optionally maps resource names (buses, modules,
-    registers) to shard indices; resources it names pin their whole
-    cluster, and a mapping that splits a cluster raises
-    :class:`PartitionError`.  Resources it omits are placed by the
-    deterministic heuristic.
-    """
-    if num_shards < 1:
-        raise PartitionError(f"num_shards must be >= 1, got {num_shards}")
-    rows: Sequence[SpecRow] = plan.spec_rows
-    clusters: Sequence[Tuple[str, ...]] = plan.clusters
-    bus_names = set(plan.port_names[: plan.bus_count])
-    register_names = tuple(name for name, _, _ in plan.reg_ports)
-    known = (
-        bus_names
-        | {mp.name for mp in plan.modules}
-        | set(register_names)
-    )
-    partition = dict(partition or {})
-    unknown = set(partition) - known
-    if unknown:
-        raise PartitionError(
-            f"partition names unknown resources: {sorted(unknown)}"
-        )
-    for name, shard in partition.items():
-        if not isinstance(shard, int) or not 0 <= shard < num_shards:
-            raise PartitionError(
-                f"partition[{name!r}] = {shard!r} is not a shard index in "
-                f"[0, {num_shards})"
-            )
-
-    # -- place clusters: pinned ones first, the rest greedily ------------
-    weights = _cluster_weights(clusters, rows)
-    load = [0] * num_shards
-    cluster_shard: Dict[int, int] = {}
-    order = sorted(
-        range(len(clusters)),
-        key=lambda i: (-weights[i], min(clusters[i])),
-    )
-    for i in order:
-        pins = {
-            partition[name] for name in clusters[i] if name in partition
-        }
-        if len(pins) > 1:
-            raise PartitionError(
-                f"partition splits cluster {sorted(clusters[i])}: "
-                f"members pinned to shards {sorted(pins)}"
-            )
-        if pins:
-            shard = pins.pop()
-        else:
-            shard = min(range(num_shards), key=lambda k: (load[k], k))
-        cluster_shard[i] = shard
-        load[shard] += weights[i]
-
-    bus_shard: Dict[str, int] = {}
-    module_shard: Dict[str, int] = {}
-    for i, cluster in enumerate(clusters):
-        for name in cluster:
-            if name in bus_names:
-                bus_shard[name] = cluster_shard[i]
-            else:
-                module_shard[name] = cluster_shard[i]
-
-    # -- pin each TRANS instance to its executing resource's shard -------
-    spec_shards = tuple(
-        _resource_shard(_executing_resource(row), bus_shard, module_shard, row)
-        for row in rows
-    )
-
-    # -- registers: honor pins, else follow their traffic ----------------
-    register_set = set(register_names)
-    affinity: Dict[str, Dict[int, int]] = {r: {} for r in register_names}
-    reads: List[Set[str]] = [set() for _ in range(num_shards)]
-    writer_shards: Dict[str, Set[int]] = {}
-    ra_phase, wb_phase = int(Phase.RA), int(Phase.WB)
-    for index, row in enumerate(rows):
-        _step, phase_int, source, sink = row
-        shard = spec_shards[index]
-        if phase_int == ra_phase and source.endswith("_out"):
-            register = source[: -len("_out")]
-            if register in register_set:
-                reads[shard].add(register)
-                counts = affinity[register]
-                counts[shard] = counts.get(shard, 0) + 1
-        elif phase_int == wb_phase and sink.endswith("_in"):
-            register = sink[: -len("_in")]
-            if register in register_set:
-                writer_shards.setdefault(register, set()).add(shard)
-                counts = affinity[register]
-                counts[shard] = counts.get(shard, 0) + 1
-    register_shard: Dict[str, int] = {}
-    reg_load = [0] * num_shards
-    for register in register_names:
-        if register in partition:
-            shard = partition[register]
-        else:
-            counts = affinity[register]
-            if counts:
-                best = max(counts.values())
-                shard = min(k for k, c in counts.items() if c == best)
-            else:
-                shard = min(range(num_shards), key=lambda k: (reg_load[k], k))
-        register_shard[register] = shard
-        reg_load[shard] += 1
-
-    return ShardPlan(
-        num_shards=num_shards,
-        bus_shard=bus_shard,
-        module_shard=module_shard,
-        register_shard=register_shard,
-        spec_shards=spec_shards,
-        clusters=tuple(tuple(sorted(c)) for c in clusters),
-        reads=tuple(tuple(sorted(r)) for r in reads),
-        writer_shards={
-            r: tuple(sorted(s)) for r, s in sorted(writer_shards.items())
-        },
-    )
-
-
-def plan_shards(
-    model,
-    num_shards: int,
-    partition: Optional[Mapping[str, int]] = None,
-) -> ShardPlan:
-    """Model-level convenience: lower, then :func:`plan_shards_for`."""
-    from .plan import lower  # deferred: plan.py imports this module
-
-    return plan_shards_for(lower(model), num_shards, partition)
-
-
-def _cluster_weights(
-    clusters: Sequence[Tuple[str, ...]], rows: Sequence[SpecRow]
-) -> List[int]:
-    """Cluster weight = resources + TRANS instances it executes."""
-    index_of: Dict[str, int] = {}
-    for i, cluster in enumerate(clusters):
-        for name in cluster:
-            index_of[name] = i
-    weights = [len(cluster) for cluster in clusters]
-    for row in rows:
-        resource = _executing_resource(row)
-        if resource is not None and resource in index_of:
-            weights[index_of[resource]] += 1
-    return weights
-
-
-def _resource_shard(
-    resource: Optional[str],
-    bus_shard: Mapping[str, int],
-    module_shard: Mapping[str, int],
-    row: SpecRow,
-) -> int:
-    if resource is not None:
-        if resource in bus_shard:
-            return bus_shard[resource]
-        if resource in module_shard:
-            return module_shard[resource]
-    raise PartitionError(
-        f"transfer {_row_label(row)} references no placeable bus or module"
-    )

@@ -37,7 +37,7 @@ compiled executor, clocked translation, handshake network):
   every backend and the stream server, exported as Prometheus text or
   JSON (``repro metrics`` / ``--metrics-out``);
 * :class:`SpanTracer` -- hierarchical wall-clock spans (elaborate,
-  plan, run, per-step, per-phase, per-shard worker) on the Profiler's
+  plan, run, per-step, per-phase) on the Profiler's
   clock, exported as Chrome trace-event JSON (``--trace-out``).
 """
 

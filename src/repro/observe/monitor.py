@@ -25,7 +25,7 @@ Property catalogue (all composable, all backends):
 
 Identical verdicts on all four RT backends:
 
-* **event / compiled / sharded** (and batched at N == 1) attach an
+* **event / compiled / compiled-py** (and batched at N == 1) attach an
   :class:`AssertionMonitor` probe via ``observe=`` and evaluate online
   -- the canonical emission order makes the verdict backend-independent.
 * **compiled-batched at N > 1** has no per-signal probe stream, so
@@ -56,7 +56,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -677,7 +676,7 @@ def check_model(
 ) -> Union[AssertionReport, List[AssertionReport]]:
     """Run ``model`` under ``backend`` and return its assertion verdict.
 
-    Scalar backends (``event``/``compiled``/``sharded``) attach an
+    Scalar backends (``event``/``compiled``/``compiled-py``) attach an
     online :class:`AssertionMonitor`.  ``compiled-batched`` sweeps a
     *sequence* of register-value vectors in one run and returns one
     report per lane (a single mapping returns a single report), with

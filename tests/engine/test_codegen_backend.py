@@ -1,7 +1,7 @@
 """Tests for the generated ``compiled-py`` backend (:mod:`repro.engine.codegen`).
 
 The generated executor's contract is the same differential discipline
-that pinned the batched and sharded backends: bit-identical registers,
+that pinned the batched backend: bit-identical registers,
 traces, conflicts, all five stats counters and canonical probe order
 vs ``compiled``, on the paper's examples and under hypothesis, with
 the plain-exec path as the always-available baseline (numba is an

@@ -1,9 +1,7 @@
-"""The shard planner: clusters, determinism, overrides, validation."""
-
-import pytest
+"""Connectivity clusters as the Plan records them (``Plan.clusters``)."""
 
 from repro.core import ModuleSpec, RTModel
-from repro.engine import PartitionError, connectivity_clusters, plan_shards
+from repro.engine import lower
 
 
 def lanes_model(lanes: int = 4) -> RTModel:
@@ -37,89 +35,14 @@ def fig1_model() -> RTModel:
 
 class TestConnectivityClusters:
     def test_fig1_is_one_cluster(self):
-        clusters = connectivity_clusters(fig1_model())
-        assert len(clusters) == 1
-        assert clusters[0] == {"ADD", "B1", "B2"}
+        assert lower(fig1_model()).clusters == (("ADD", "B1", "B2"),)
 
     def test_lanes_are_independent_clusters(self):
-        clusters = connectivity_clusters(lanes_model(4))
+        clusters = lower(lanes_model(4)).clusters
         assert len(clusters) == 4
-        assert {"FU0", "BA0", "BB0"} in clusters
+        assert ("BA0", "BB0", "FU0") in clusters
 
     def test_untouched_resources_form_singletons(self):
         model = fig1_model()
         model.bus("B_SPARE")
-        clusters = connectivity_clusters(model)
-        assert {"B_SPARE"} in clusters
-
-
-class TestPlanShards:
-    def test_plan_is_deterministic(self):
-        model = lanes_model(4)
-        first = plan_shards(model, 3)
-        second = plan_shards(model, 3)
-        assert first == second
-
-    def test_k1_puts_everything_on_shard_zero(self):
-        plan = plan_shards(lanes_model(3), 1)
-        assert set(plan.bus_shard.values()) == {0}
-        assert set(plan.module_shard.values()) == {0}
-        assert set(plan.spec_shards) == {0}
-
-    def test_clusters_stay_whole(self):
-        model = lanes_model(4)
-        plan = plan_shards(model, 2)
-        for lane in range(4):
-            shard = plan.module_shard[f"FU{lane}"]
-            assert plan.bus_shard[f"BA{lane}"] == shard
-            assert plan.bus_shard[f"BB{lane}"] == shard
-
-    def test_load_is_balanced_over_uniform_clusters(self):
-        plan = plan_shards(lanes_model(4), 2)
-        per_shard = [
-            sum(1 for s in plan.spec_shards if s == k) for k in range(2)
-        ]
-        assert per_shard[0] == per_shard[1]
-
-    def test_specs_pin_to_their_resources(self):
-        model = lanes_model(2)
-        plan = plan_shards(model, 2)
-        for spec, shard in zip(model.trans_specs(), plan.spec_shards):
-            lane = next(c for c in spec.name if c.isdigit())
-            assert shard == plan.module_shard[f"FU{lane}"]
-
-    def test_reads_and_writers_cover_register_traffic(self):
-        model = lanes_model(2)
-        plan = plan_shards(model, 2)
-        shard0 = plan.module_shard["FU0"]
-        assert "A0" in plan.reads[shard0]
-        assert "B0" in plan.reads[shard0]
-        assert plan.writer_shards["S0"] == (shard0,)
-
-    def test_partition_override_pins_cluster(self):
-        model = lanes_model(3)
-        plan = plan_shards(model, 3, partition={"FU1": 2, "S1": 2})
-        assert plan.module_shard["FU1"] == 2
-        assert plan.bus_shard["BA1"] == 2  # whole cluster follows
-        assert plan.register_shard["S1"] == 2
-
-    def test_partition_split_cluster_rejected(self):
-        with pytest.raises(PartitionError, match="splits cluster"):
-            plan_shards(fig1_model(), 2, partition={"B1": 0, "B2": 1})
-
-    def test_partition_unknown_name_rejected(self):
-        with pytest.raises(PartitionError, match="unknown resources"):
-            plan_shards(fig1_model(), 2, partition={"NOPE": 0})
-
-    def test_partition_bad_index_rejected(self):
-        with pytest.raises(PartitionError, match="not a shard index"):
-            plan_shards(fig1_model(), 2, partition={"B1": 5})
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(PartitionError, match=">= 1"):
-            plan_shards(fig1_model(), 0)
-
-    def test_describe_names_every_shard(self):
-        text = plan_shards(lanes_model(4), 2).describe()
-        assert "2 shards" in text
-        assert "shard 0:" in text and "shard 1:" in text
+        assert ("B_SPARE",) in lower(model).clusters

@@ -3,7 +3,7 @@
 The tentpole contract of the coverage engine: the same model yields
 the *same* :class:`~repro.observe.CoverageReport` -- same universe
 totals, same sorted hit tuples -- whether measured online (event /
-compiled / sharded, and batched at N == 1) or by per-lane trace
+compiled / compiled-py, and batched at N == 1) or by per-lane trace
 replay (compiled-batched at N > 1).  Models are hypothesis-generated
 over a deliberately tight bus pool so conflicts and ILLEGAL values
 occur regularly (the same strategy as the monitor differential).
@@ -30,13 +30,13 @@ SETTINGS = settings(max_examples=25, deadline=None)
 
 @SETTINGS
 @given(colliding_models())
-def test_event_compiled_sharded_agree(model):
+def test_event_compiled_compiled_py_agree(model):
     reference = measure_coverage(model, backend="event").to_dict()
     assert measure_coverage(
         model, backend="compiled"
     ).to_dict() == reference
     assert measure_coverage(
-        model, backend="sharded", shards=2
+        model, backend="compiled-py"
     ).to_dict() == reference
 
 
@@ -94,7 +94,7 @@ def test_seeded_conflict_covers_the_pair_identically_everywhere():
     assert reference.conflict_pairs_hit, "the clash must be covered"
     for report in (
         measure_coverage(model, backend="compiled"),
-        measure_coverage(model, backend="sharded", shards=2),
+        measure_coverage(model, backend="compiled-py"),
         measure_coverage(
             model, backend="compiled-batched", register_values={}
         ),

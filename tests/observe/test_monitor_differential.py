@@ -3,8 +3,8 @@
 The tentpole contract of the assertion subsystem: the same property
 set over the same model yields *bit-identical* verdicts -- every
 violation at the same ``(CS, PH)`` with the same signal and values --
-whether evaluated online (event / compiled / sharded, and batched at
-N == 1) or by per-lane trace replay (compiled-batched at N > 1).
+whether evaluated online (event / compiled / compiled-py, and batched
+at N == 1) or by per-lane trace replay (compiled-batched at N > 1).
 
 Models are hypothesis-generated over a deliberately tight bus pool so
 conflicts and ILLEGAL values occur regularly (the same strategy as
@@ -71,7 +71,7 @@ def test_all_backends_agree_on_verdicts(model):
         check_model(model, properties, backend="compiled")
     ) == reference
     assert verdict(
-        check_model(model, properties, backend="sharded", shards=2)
+        check_model(model, properties, backend="compiled-py")
     ) == reference
     # Batched N == 1: the online monitor over the full canonical stream.
     assert verdict(
@@ -143,7 +143,7 @@ def test_seeded_conflict_localizes_identically_everywhere():
         check_model(model, properties, backend="compiled")
     ) == expected
     assert locations(
-        check_model(model, properties, backend="sharded", shards=2)
+        check_model(model, properties, backend="compiled-py")
     ) == expected
     assert locations(
         check_model(
@@ -157,12 +157,3 @@ def test_seeded_conflict_localizes_identically_everywhere():
     )
     for lane_report in lane_reports:
         assert locations(lane_report) == expected
-
-
-@SETTINGS
-@given(colliding_models())
-def test_sharded_single_worker_agrees_too(model):
-    properties = property_set(model)
-    assert verdict(
-        check_model(model, properties, backend="sharded", shards=1)
-    ) == verdict(check_model(model, properties, backend="event"))

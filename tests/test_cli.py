@@ -6,8 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.core import ModuleSpec, RTModel
-from repro.core.serialize import dump
+from repro.core.serialize import dump, load
 from repro.core.values_np import have_numpy
+from repro.engine import BackendError, backend_names
 from repro.vhdl import EXAMPLE_FIG1
 
 needs_numpy = pytest.mark.skipif(
@@ -204,6 +205,43 @@ class TestBackendSelection:
             "iks", "--target", "2.5,1.0", "--backend", "compiled",
         ]) == 0
         assert "bit-exact   : True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(
+        lambda path: load(path).elaborate(backend="sharded"),
+        BackendError, id="elaborate-backend",
+    ),
+    pytest.param(
+        lambda path: load(path).elaborate(shards=2),
+        TypeError, id="elaborate-shards-kwarg",
+    ),
+    pytest.param(
+        lambda path: main(["simulate", str(path), "--backend", "sharded"]),
+        SystemExit, id="cli-simulate-backend",
+    ),
+    pytest.param(
+        lambda path: main(["iks", "--shards", "2"]),
+        SystemExit, id="cli-iks-shards",
+    ),
+    pytest.param(
+        lambda path: main(["bench", "--sharded"]),
+        SystemExit, id="cli-bench-sharded",
+    ),
+])
+def test_retired_sharded_names_are_rejected(call, error, fig1_json, capsys):
+    """The multi-process backend is gone: its backend name, elaborate
+    kwarg and CLI options are rejected up front, never half-run."""
+    with pytest.raises(error) as excinfo:
+        call(fig1_json)
+    if error is SystemExit:
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+    elif error is BackendError:
+        message = str(excinfo.value)
+        assert "unknown backend 'sharded'" in message
+        for name in backend_names():
+            assert name in message
 
 
 class TestObservabilityFlags:
@@ -751,8 +789,8 @@ class TestPlanCli:
         assert len(record["digest"]) == 64
         assert "speedup" in capsys.readouterr().out
 
-    def test_bench_plan_excludes_sharded(self, capsys):
-        assert main(["bench", "--plan", "--sharded"]) == 1
+    def test_bench_plan_excludes_codegen(self, capsys):
+        assert main(["bench", "--plan", "--codegen"]) == 1
         assert "exclusive" in capsys.readouterr().err
 
 
@@ -895,18 +933,14 @@ class TestTraceCli:
         assert "run" in names
         assert "cs1" in names
 
-    def test_trace_out_carries_plan_and_shard_spans(
-        self, fig1_json, tmp_path, capsys
-    ):
+    def test_trace_out_carries_plan_spans(self, fig1_json, tmp_path, capsys):
         out = tmp_path / "trace.json"
         cache = tmp_path / "plans"
-        assert main(["simulate", str(fig1_json), "--backend", "sharded",
-                     "--shards", "2", "--plan-cache", str(cache),
+        assert main(["simulate", str(fig1_json), "--backend", "compiled",
+                     "--plan-cache", str(cache),
                      "--trace-out", str(out)]) == 0
         names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
         assert "plan:miss" in names
-        assert "shard0:execute" in names
-        assert "shard1:execute" in names
 
     @needs_numpy
     def test_batched_rejects_trace_out(self, fig1_json, tmp_path, capsys):
